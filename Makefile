@@ -75,7 +75,7 @@ benchdiff:
 
 # fuzz-smoke gives each native fuzz target a short budget; crashes fail
 # the target and land a reproducer under testdata/fuzz. The graph package
-# holds two targets (edge-list parser and graph6 round-trip), so the
+# holds three targets (edge-list parser, graph6 round-trip, CSR build), so the
 # -fuzz patterns are anchored.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/graph
@@ -90,10 +90,7 @@ fuzz-smoke:
 # the steady-state broker + cache + encode path, not the solver. The
 # latency record (p50/p95/p99) is written to BENCH_loadgen.json and
 # appended to bench/history; the run fails below LOADTEST_MIN_RPS req/s.
-# The daemon asks for -solver-threads 2 to prove the parallel solver
-# path holds the floor under concurrent serving (the server clamps
-# workers x solver-threads to GOMAXPROCS, so on small runners this
-# degrades to 1 and the run is still honest). Run it twice and
+# Run it twice and
 # `make benchdiff` gates the serve-vs-serve pair (CI's serve-smoke job
 # does exactly that).
 LOADTEST_ADDR ?= 127.0.0.1:18211
@@ -101,13 +98,12 @@ LOADTEST_DURATION ?= 10s
 LOADTEST_MIN_RPS ?= 2000
 LOADTEST_CONCURRENCY ?= 32
 LOADTEST_HISTORY ?= bench/history
-LOADTEST_SOLVER_THREADS ?= 2
 loadtest:
 	@mkdir -p bin
 	$(GO) build -o bin/defenderd ./cmd/defenderd
 	$(GO) build -o bin/loadgen ./cmd/loadgen
 	@set -e; \
-	./bin/defenderd -addr $(LOADTEST_ADDR) -solver-threads $(LOADTEST_SOLVER_THREADS) & pid=$$!; \
+	./bin/defenderd -addr $(LOADTEST_ADDR) & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null' EXIT INT TERM; \
 	ok=0; \
 	for i in $$(seq 1 100); do \

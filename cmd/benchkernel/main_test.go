@@ -87,32 +87,13 @@ func TestParseBenchWithoutProcsSuffix(t *testing.T) {
 	}
 }
 
-func TestParseThreadsLadder(t *testing.T) {
-	got, err := parseThreadsLadder("1, 2,4")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 4 {
-		t.Fatalf("parseThreadsLadder(\"1, 2,4\") = %v, %v", got, err)
-	}
-	if _, err := parseThreadsLadder("1,-2"); err == nil {
-		t.Error("negative rung accepted")
-	}
-	if _, err := parseThreadsLadder(" , "); err == nil {
-		t.Error("empty ladder accepted")
-	}
-	got, err = parseThreadsLadder("0")
-	if err != nil || len(got) != 1 || got[0] < 1 {
-		t.Fatalf("parseThreadsLadder(\"0\") = %v, %v, want GOMAXPROCS rung", got, err)
-	}
-}
-
-// TestScalingThreadsLadderRecord runs the real pipeline at the smallest
-// ladder size across threads rungs and checks the record shape: plain IDs
-// for threads=1, /threads=N suffixes above, honest workers fields, and
-// identical solve outputs per rung (same cells, same equilibrium line).
-func TestScalingThreadsLadderRecord(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "scaling.json")
+// TestScalingRecord runs the real pipeline at the smallest ladder size
+// and checks the record shape: one plain-ID table per size, a
+// single-threaded workers count, and no per-table threads field.
+func TestScalingRecord(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "scaling.json")
 	var stdout, stderr strings.Builder
-	code := realMain([]string{"-scaling", "-scaling-max-n", "1000", "-threads", "1,2", "-out", out},
+	code := realMain([]string{"-scaling", "-scaling-max-n", "1000", "-out", out},
 		strings.NewReader(""), &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
@@ -121,20 +102,14 @@ func TestScalingThreadsLadderRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.WorkersRequested != 2 || rep.WorkersEffective != 2 {
-		t.Errorf("workers = %d/%d, want 2/2 (widest rung)", rep.WorkersRequested, rep.WorkersEffective)
+	if rep.Suite != "csr-scaling" || rep.WorkersRequested != 1 || rep.WorkersEffective != 1 {
+		t.Errorf("suite %q workers %d/%d, want csr-scaling 1/1", rep.Suite, rep.WorkersRequested, rep.WorkersEffective)
 	}
-	if len(rep.Tables) != 2 {
-		t.Fatalf("tables = %d, want 2", len(rep.Tables))
+	if len(rep.Tables) != 1 {
+		t.Fatalf("tables = %d, want 1", len(rep.Tables))
 	}
-	if id := rep.Tables[0].ID; id != "ba_bipartite/n=1000" {
-		t.Errorf("rung-1 id = %q, want plain ba_bipartite/n=1000", id)
-	}
-	if id := rep.Tables[1].ID; id != "ba_bipartite/n=1000/threads=2" {
-		t.Errorf("rung-2 id = %q", id)
-	}
-	if rep.Tables[0].Threads != 1 || rep.Tables[1].Threads != 2 {
-		t.Errorf("threads fields = %d, %d, want 1, 2", rep.Tables[0].Threads, rep.Tables[1].Threads)
+	if tb := rep.Tables[0]; tb.ID != "ba_bipartite/n=1000" || tb.Threads != 0 || tb.Cells != 1000 || tb.WallMS <= 0 {
+		t.Errorf("table = %+v, want plain ba_bipartite/n=1000 with 1000 cells and no threads field", tb)
 	}
 }
 

@@ -19,18 +19,16 @@ import (
 	"github.com/defender-game/defender/internal/graph"
 	"github.com/defender-game/defender/internal/matching"
 	"github.com/defender-game/defender/internal/obs"
-	"github.com/defender-game/defender/internal/par"
 )
 
 // scalingConfig carries the -scaling-* flags.
 type scalingConfig struct {
-	maxN    int
-	attach  int
-	k       int
-	nu      int
-	seed    int64
-	repeat  int
-	threads []int
+	maxN   int
+	attach int
+	k      int
+	nu     int
+	seed   int64
+	repeat int
 }
 
 // scalingSizes is the 10^3 → 10^6 decade ladder, trimmed by -scaling-max-n
@@ -44,14 +42,9 @@ func scalingSizes(maxN int) []int {
 }
 
 // runScaling executes the scaling ladder — every size of the decade
-// ladder at every rung of the -threads ladder — and writes one bench
-// record to out/history like the parser path. Rungs above 1 carry a
-// /threads=N table-ID suffix, so a serial history and a parallel curve
-// never collide under benchdiff; the record's workers fields report the
-// widest rung honestly (workers_effective is the goroutine budget the
-// solver really fanned out to, even above gomaxprocs — see SCALING.md on
-// oversubscribed rungs). Exit codes: 0 ok, 1 empty ladder, 2 solve or
-// write error.
+// ladder, each solved single-threaded — and writes one bench record to
+// out/history like the parser path. Exit codes: 0 ok, 1 empty ladder, 2
+// solve or write error.
 func runScaling(cfg scalingConfig, out, history string, stdout, stderr io.Writer) int {
 	sizes := scalingSizes(cfg.maxN)
 	if len(sizes) == 0 {
@@ -61,60 +54,40 @@ func runScaling(cfg scalingConfig, out, history string, stdout, stderr io.Writer
 	if cfg.repeat < 1 {
 		cfg.repeat = 1
 	}
-	if len(cfg.threads) == 0 {
-		cfg.threads = []int{1}
-	}
-	defer par.SetThreads(0)
 	// Counters (graph.csr.builds, matching.csr.hopcroftkarp.phases, ...)
 	// land in the record's metrics snapshot for the CI shape assertions.
 	obs.Default().SetEnabled(true)
 
-	maxRung := cfg.threads[0]
-	for _, t := range cfg.threads {
-		if t > maxRung {
-			maxRung = t
-		}
-	}
 	rep := &benchrec.Report{
 		Suite:            "csr-scaling",
 		Seed:             cfg.seed,
-		WorkersRequested: maxRung,
-		WorkersEffective: maxRung,
+		WorkersRequested: 1,
+		WorkersEffective: 1,
 		GoMaxProcs:       runtime.GOMAXPROCS(0),
 		BenchRepeat:      cfg.repeat,
 	}
 	for _, n := range sizes {
-		for _, t := range cfg.threads {
-			par.SetThreads(t)
-			minWall := 0.0
-			for rep0 := 0; rep0 < cfg.repeat; rep0++ {
-				wallMS, err := scalingRun(n, t, cfg, stdout, rep0 == 0)
-				if err != nil {
-					fmt.Fprintf(stderr, "benchkernel: n=%d threads=%d: %v\n", n, t, err)
-					return 2
-				}
-				if rep0 == 0 || wallMS < minWall {
-					minWall = wallMS
-				}
+		minWall := 0.0
+		for rep0 := 0; rep0 < cfg.repeat; rep0++ {
+			wallMS, err := scalingRun(n, cfg, stdout, rep0 == 0)
+			if err != nil {
+				fmt.Fprintf(stderr, "benchkernel: n=%d: %v\n", n, err)
+				return 2
 			}
-			id := fmt.Sprintf("ba_bipartite/n=%d", n)
-			if t > 1 {
-				// threads=1 keeps the plain ID so the serial curve stays
-				// comparable against pre-ladder history records.
-				id = fmt.Sprintf("%s/threads=%d", id, t)
+			if rep0 == 0 || wallMS < minWall {
+				minWall = wallMS
 			}
-			rep.Tables = append(rep.Tables, benchrec.Table{
-				ID:          id,
-				Rows:        1,
-				Cells:       n,
-				CellTiming:  true,
-				Samples:     cfg.repeat,
-				Threads:     t,
-				WallMS:      minWall,
-				CellsPerSec: float64(n) / (minWall / 1e3),
-			})
-			rep.TotalWallMS += minWall
 		}
+		rep.Tables = append(rep.Tables, benchrec.Table{
+			ID:          fmt.Sprintf("ba_bipartite/n=%d", n),
+			Rows:        1,
+			Cells:       n,
+			CellTiming:  true,
+			Samples:     cfg.repeat,
+			WallMS:      minWall,
+			CellsPerSec: float64(n) / (minWall / 1e3),
+		})
+		rep.TotalWallMS += minWall
 	}
 	rep.StampEnvironment("")
 	rep.Metrics = obs.Default().Snapshot()
@@ -137,14 +110,12 @@ func runScaling(cfg scalingConfig, out, history string, stdout, stderr io.Writer
 	return 0
 }
 
-// scalingRun executes one (generate, solve, verify) cycle at size n on a
-// threads-wide solver budget and returns its wall time in milliseconds.
-// The generator is re-seeded per run so every repetition — and every
-// rung — solves the identical instance; the solved equilibria are
-// bit-identical across rungs by the par determinism contract. When
-// chatty, the per-size summary line is printed — the exact lines quoted
-// in SCALING.md's worked transcript.
-func scalingRun(n, threads int, cfg scalingConfig, stdout io.Writer, chatty bool) (float64, error) {
+// scalingRun executes one (generate, solve, verify) cycle at size n and
+// returns its wall time in milliseconds. The generator is re-seeded per
+// run so every repetition solves the identical instance. When chatty, the
+// per-size summary line is printed — the exact lines quoted in
+// SCALING.md's worked transcript.
+func scalingRun(n int, cfg scalingConfig, stdout io.Writer, chatty bool) (float64, error) {
 	start := time.Now()
 	gen := graph.NewSeededGenerator(cfg.seed)
 	c := gen.BarabasiAlbertBipartiteCSR(n, cfg.attach)
@@ -170,14 +141,10 @@ func scalingRun(n, threads int, cfg scalingConfig, stdout io.Writer, chatty bool
 	}
 	solveMS := float64(time.Since(solveStart).Microseconds()) / 1e3
 	if chatty {
-		rung := ""
-		if threads > 1 {
-			rung = fmt.Sprintf(" threads=%d", threads)
-		}
 		fmt.Fprintf(stdout,
-			"n=%d m=%d k=%d nu=%d rho=%d |IS|=%d tuples=%d gain=%s hit=%s build=%.1fms solve+verify=%.1fms%s\n",
+			"n=%d m=%d k=%d nu=%d rho=%d |IS|=%d tuples=%d gain=%s hit=%s build=%.1fms solve+verify=%.1fms\n",
 			n, c.NumEdges(), cfg.k, cfg.nu, rho, len(ne.VPSupport), len(ne.Tuples),
-			ne.DefenderGain().RatString(), ne.HitProbability().RatString(), buildMS, solveMS, rung)
+			ne.DefenderGain().RatString(), ne.HitProbability().RatString(), buildMS, solveMS)
 	}
 	return float64(time.Since(start).Microseconds()) / 1e3, nil
 }

@@ -12,12 +12,11 @@ import (
 	"github.com/defender-game/defender/internal/analyzers/metricname"
 	"github.com/defender-game/defender/internal/analyzers/mutexcopy"
 	"github.com/defender-game/defender/internal/analyzers/nakedpanic"
-	"github.com/defender-game/defender/internal/analyzers/parhot"
 	"github.com/defender-game/defender/internal/analyzers/ratalias"
 	"github.com/defender-game/defender/internal/analyzers/ratraw"
 )
 
-// All returns the ten registered analyzers, in deterministic order. The
+// All returns the nine registered analyzers, in deterministic order. The
 // suppression auditor is not listed here: it is part of the framework
 // (analysis.AuditorName) and runs on every invocation.
 func All() []*analysis.Analyzer {
@@ -29,7 +28,6 @@ func All() []*analysis.Analyzer {
 		metricname.Analyzer,
 		mutexcopy.Analyzer,
 		nakedpanic.Analyzer,
-		parhot.Analyzer,
 		ratalias.Analyzer,
 		ratraw.Analyzer,
 	}

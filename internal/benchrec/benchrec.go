@@ -90,10 +90,11 @@ type Table struct {
 	CellTiming bool `json:"cell_timing"`
 	// Samples is how many timing passes this entry aggregates.
 	Samples int `json:"samples"`
-	// Threads is the solver thread budget the table ran with (0 = the
-	// suite's single-threaded default). Tables from one -threads ladder
-	// share a record; benchdiff compares like against like because rungs
-	// above 1 carry a /threads=N ID suffix.
+	// Threads is the solver thread budget the table ran with; 0 (omitted)
+	// means single-threaded, which every current suite is. Records from
+	// the retired multi-threaded scaling ladder carry it, and their rungs
+	// above 1 use a /threads=N ID suffix, so benchdiff still compares like
+	// against like.
 	Threads int `json:"threads,omitempty"`
 	// WallMS is the table's wall time: the minimum across samples (the
 	// least-interfered-with run; see Aggregate).

@@ -105,3 +105,22 @@ func TestLatestPairNeedsTwoRecords(t *testing.T) {
 		t.Errorf("single-record LatestPair error = %v, want a need-two message", err)
 	}
 }
+
+// TestCommittedHistoryParses reads every record committed under
+// bench/history through Parse: a schema change that strands an old record
+// (a removed field, say, which DisallowUnknownFields rejects) fails here
+// rather than in a later benchdiff run.
+func TestCommittedHistoryParses(t *testing.T) {
+	paths, err := ListHistory(filepath.Join("..", "..", "bench", "history"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed history records found")
+	}
+	for _, p := range paths {
+		if _, err := Load(p); err != nil {
+			t.Error(err)
+		}
+	}
+}

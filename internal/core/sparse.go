@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/big"
 	"strconv"
-	"sync/atomic"
 
 	"github.com/defender-game/defender/internal/cover"
 	"github.com/defender-game/defender/internal/game"
@@ -20,18 +19,6 @@ import (
 // increment per completed VerifyKMatchingCSR run — the Theorem 3.4 audit
 // every scaling record performs on its 10^6-vertex equilibria.
 var obsCSRVerifications = obs.Default().Counter("core.csr.verifications")
-
-// Parallel verification counter (catalogued in OBSERVABILITY.md): the
-// subset of core.csr.verifications that ran the multicore verifier body —
-// instances large enough, and the thread budget wide enough, for the
-// grain guard to engage. core.csr.verifications minus this is the inline
-// count.
-var obsCSRParallelVerifications = obs.Default().Counter("core.csr.parallel.verifications")
-
-// verifyParallelGrain is the index-range size below which the verifier
-// stays on its serial body; both bodies are bit-identical (differentially
-// tested), the guard is purely about fan-out cost.
-const verifyParallelGrain = 1 << 15
 
 // SparseEquilibrium is a k-matching mixed Nash equilibrium of Π_k(G) in
 // flat int32 form — the million-vertex counterpart of TupleEquilibrium.
@@ -240,13 +227,7 @@ func SolveKMatchingCSRCtx(ctx context.Context, c *graph.CSR, attackers, k int) (
 // O(n + m + k·δ) time; the O(n) counting scratch is pooled. A nil return
 // is a proof of equilibrium; the differential tests cross-check it
 // against the dense VerifyCharacterization through ToTupleEquilibrium.
-//
-// Above verifyParallelGrain vertices the audit runs on the par worker
-// budget: the hit-count stamping and tuple-load recomputation are
-// embarrassingly parallel over tuples with per-worker stamp arrays and
-// rat scratch, partial counts merged in worker order as exact integer
-// sums, and every rejection reduced to the smallest violating index —
-// the same verdict, and the same error, the serial body produces.
+// Every rejection cites the first violation in scan order.
 func VerifyKMatchingCSR(ne *SparseEquilibrium) error {
 	e := len(ne.EdgeU)
 	if ne.Attackers < 1 {
@@ -258,24 +239,8 @@ func VerifyKMatchingCSR(ne *SparseEquilibrium) error {
 	if ne.K < 1 || ne.K > e {
 		return fmt.Errorf("%w: k=%d outside 1..%d", ErrNotEquilibrium, ne.K, e)
 	}
-	if workers := par.Split(par.Workers(0), ne.C.NumVertices(), verifyParallelGrain); workers > 1 {
-		if err := verifyKMatchingCSRParallel(ne, workers); err != nil {
-			return err
-		}
-		obsCSRParallelVerifications.Inc()
-	} else if err := verifyKMatchingCSRSerial(ne); err != nil {
-		return err
-	}
-	obsCSRVerifications.Inc()
-	return nil
-}
-
-// verifyKMatchingCSRSerial is the single-threaded audit body — the
-// reference the parallel body must match bit for bit.
-func verifyKMatchingCSRSerial(ne *SparseEquilibrium) error {
 	c := ne.C
 	n := c.NumVertices()
-	e := len(ne.EdgeU)
 	is := ne.VPSupport
 
 	// Support shape: IS ascending, distinct, independent in G.
@@ -446,306 +411,7 @@ func verifyKMatchingCSRSerial(ne *SparseEquilibrium) error {
 	if mass.Cmp(&nu) != 0 {
 		return fmt.Errorf("%w: attacker mass on V(D(tp)) is %v, want ν=%v", ErrNotEquilibrium, mass.Big(), nu.Big())
 	}
-	return nil
-}
-
-// verifyKMatchingCSRParallel is the multicore audit body. Every block
-// mirrors the serial reference: scans fan out over contiguous chunks,
-// per-worker partials (hit counts, stamps, multiplicities) merge in
-// worker order as integer sums — which are order-invariant — and a
-// failing block reduces its per-worker faults to the smallest index,
-// reproducing the serial error exactly. Shared marks (covered set,
-// IS-incidence counts) use atomic claims whose final state is
-// scheduling-independent.
-func verifyKMatchingCSRParallel(ne *SparseEquilibrium, workers int) error {
-	c := ne.C
-	n := c.NumVertices()
-	e := len(ne.EdgeU)
-	is := ne.VPSupport
-	faults := make([]par.Fault, workers)
-	reset := func() {
-		for i := range faults {
-			faults[i] = par.Fault{}
-		}
-	}
-
-	// Support shape: ascending/distinct is a sequential relation — the
-	// serial scan is O(|IS|) and stays — but the independence audit reads
-	// the finished bitset only, so it fans out.
-	inIS := graph.GetBitset(n)
-	defer graph.PutBitset(inIS)
-	for i, v := range is {
-		if v < 0 || int(v) >= n || (i > 0 && is[i-1] >= v) {
-			return fmt.Errorf("%w: attacker support not ascending/in-range at %d", ErrNotEquilibrium, v)
-		}
-		inIS.Set(v)
-	}
-	par.For(par.Split(workers, len(is), verifyParallelGrain), len(is), func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := is[i]
-			for _, u := range c.Neighbors(int(v)) {
-				if inIS.Has(u) {
-					faults[w] = par.Fault{At: i, Err: fmt.Errorf("%w: attacker support not independent, edge (%d,%d)", ErrNotEquilibrium, v, u)}
-					return
-				}
-			}
-		}
-	})
-	if err := par.FirstFault(faults); err != nil {
-		return err
-	}
-
-	// Edge support, fanned out over edges: membership and touch checks
-	// are per-edge; the covered set and IS-incidence counters are shared
-	// marks under atomic claim/add.
-	incident := par.GetInt32(n)
-	defer par.PutInt32(incident)
-	clear(incident)
-	covered := graph.GetBitset(n)
-	defer graph.PutBitset(covered)
-	reset()
-	par.For(par.Split(workers, e, verifyParallelGrain), e, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u, v := ne.EdgeU[i], ne.EdgeV[i]
-			if !c.HasEdge(int(u), int(v)) {
-				faults[w] = par.Fault{At: i, Err: fmt.Errorf("%w: support edge %d=(%d,%d) is not an edge of G", ErrNotEquilibrium, i, u, v)}
-				return
-			}
-			covered.SetAtomic(u)
-			covered.SetAtomic(v)
-			touch := 0
-			if inIS.Has(u) {
-				atomic.AddInt32(&incident[u], 1)
-				touch++
-			}
-			if inIS.Has(v) {
-				atomic.AddInt32(&incident[v], 1)
-				touch++
-			}
-			if touch != 1 {
-				faults[w] = par.Fault{At: i, Err: fmt.Errorf("%w: support edge (%d,%d) touches %d IS vertices, want 1", ErrNotEquilibrium, u, v, touch)}
-				return
-			}
-		}
-	})
-	if err := par.FirstFault(faults); err != nil {
-		return err
-	}
-	reset()
-	par.For(workers, n, func(w, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if !covered.Has(int32(v)) {
-				faults[w] = par.Fault{At: v, Err: fmt.Errorf("%w: E(D(tp)) does not cover vertex %d", ErrNotEquilibrium, v)}
-				return
-			}
-		}
-	})
-	if err := par.FirstFault(faults); err != nil {
-		return err
-	}
-	reset()
-	par.For(par.Split(workers, len(is), verifyParallelGrain), len(is), func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := is[i]; incident[v] != 1 {
-				faults[w] = par.Fault{At: i, Err: fmt.Errorf("%w: support vertex %d incident to %d support edges, want 1", ErrNotEquilibrium, v, incident[v])}
-				return
-			}
-		}
-	})
-	if err := par.FirstFault(faults); err != nil {
-		return err
-	}
-	if len(is) != e {
-		return fmt.Errorf("%w: |IS|=%d != |E(D(tp))|=%d, incidence is not a bijection", ErrNotEquilibrium, len(is), e)
-	}
-
-	// Tuple table, fanned out over tuples: each tuple is audited whole by
-	// one worker against its own seen-stamp array, and the per-worker
-	// multiplicity histograms merge in worker order.
-	delta := len(ne.Tuples)
-	if delta == 0 || (ne.K*delta)%e != 0 {
-		return fmt.Errorf("%w: %d tuples of %d edges cannot spread %d support edges evenly", ErrNotEquilibrium, delta, ne.K, e)
-	}
-	r := ne.K * delta / e
-	tupleWorkers := par.Split(workers, delta, max(1, verifyParallelGrain/max(ne.K, 1)))
-	mults := make([][]int32, tupleWorkers)
-	reset()
-	par.For(tupleWorkers, delta, func(w, lo, hi int) {
-		mult := par.GetInt32(e)
-		clear(mult)
-		mults[w] = mult
-		seenEdge := par.GetInt32(e)
-		defer par.PutInt32(seenEdge)
-		for i := range seenEdge {
-			seenEdge[i] = -1
-		}
-		for ti := lo; ti < hi; ti++ {
-			t := ne.Tuples[ti]
-			if len(t) != ne.K {
-				faults[w] = par.Fault{At: ti, Err: fmt.Errorf("%w: tuple %d has %d edges, want k=%d", ErrNotEquilibrium, ti, len(t), ne.K)}
-				return
-			}
-			for _, id := range t {
-				if id < 0 || int(id) >= e {
-					faults[w] = par.Fault{At: ti, Err: fmt.Errorf("%w: tuple %d lists edge %d outside support", ErrNotEquilibrium, ti, id)}
-					return
-				}
-				if seenEdge[id] == int32(ti) {
-					faults[w] = par.Fault{At: ti, Err: fmt.Errorf("%w: tuple %d repeats edge %d", ErrNotEquilibrium, ti, id)}
-					return
-				}
-				seenEdge[id] = int32(ti)
-				mult[id]++
-			}
-		}
-	})
-	err := par.FirstFault(faults)
-	if err == nil {
-		mult := mults[0]
-		par.For(par.Split(workers, e, verifyParallelGrain), e, func(w, lo, hi int) {
-			for id := lo; id < hi; id++ {
-				var m int32
-				for _, part := range mults {
-					m += part[id]
-				}
-				mult[id] = m
-				if m != int32(r) && faults[w].Err == nil {
-					faults[w] = par.Fault{At: id, Err: fmt.Errorf("%w: edge %d occurs in %d tuples, others in %d", ErrNotEquilibrium, id, m, r)}
-				}
-			}
-		})
-		err = par.FirstFault(faults)
-	}
-	for _, m := range mults {
-		par.PutInt32(m)
-	}
-	if err != nil {
-		return err
-	}
-
-	// Condition 2(a), fanned out over tuples: per-worker hit counts under
-	// per-worker stamps — a vertex hit by tuples in two chunks is counted
-	// once per chunk and the counts add — then an order-invariant integer
-	// merge and a parallel min reduction.
-	hitCount := par.GetInt32(n)
-	defer par.PutInt32(hitCount)
-	hits := make([][]int32, tupleWorkers)
-	par.For(tupleWorkers, delta, func(w, lo, hi int) {
-		count := par.GetInt32(n)
-		clear(count)
-		hits[w] = count
-		stamp := par.GetInt32(n)
-		defer par.PutInt32(stamp)
-		for i := range stamp {
-			stamp[i] = -1
-		}
-		for ti := lo; ti < hi; ti++ {
-			for _, id := range ne.Tuples[ti] {
-				for _, v := range [2]int32{ne.EdgeU[id], ne.EdgeV[id]} {
-					if stamp[v] != int32(ti) {
-						stamp[v] = int32(ti)
-						count[v]++
-					}
-				}
-			}
-		}
-	})
-	mins := make([]int32, workers)
-	for i := range mins {
-		// Neutral element: a worker left without a chunk (For clamps its
-		// fan-out to the range length) must not drag the minimum to 0.
-		mins[i] = 1<<31 - 1
-	}
-	par.For(workers, n, func(w, lo, hi int) {
-		m := int32(1<<31 - 1)
-		for v := lo; v < hi; v++ {
-			var h int32
-			for _, part := range hits {
-				h += part[v]
-			}
-			hitCount[v] = h
-			if h < m {
-				m = h
-			}
-		}
-		mins[w] = m
-	})
-	for _, h := range hits {
-		par.PutInt32(h)
-	}
-	minHit := mins[0]
-	for _, m := range mins[1:] {
-		if m < minHit {
-			minHit = m
-		}
-	}
-	reset()
-	par.For(par.Split(workers, len(is), verifyParallelGrain), len(is), func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if v := is[i]; hitCount[v] != minHit {
-				faults[w] = par.Fault{At: i, Err: fmt.Errorf("%w: support vertex %d has hit probability %d/%d > min %d/%d",
-					ErrNotEquilibrium, v, hitCount[v], delta, minHit, delta)}
-				return
-			}
-		}
-	})
-	if err := par.FirstFault(faults); err != nil {
-		return err
-	}
-
-	// Condition 3(a), fanned out over tuples with per-worker rat scratch;
-	// each tuple's load is recomputed exactly as in the serial body, in
-	// the int64-first rat domain.
-	var perVertex, want rat.Rat
-	perVertex.SetFrac64(int64(ne.Attackers), int64(len(is)))
-	want.SetFrac64(int64(ne.K)*int64(ne.Attackers), int64(len(is)))
-	reset()
-	par.For(tupleWorkers, delta, func(w, lo, hi int) {
-		var tupleLoad rat.Rat
-		for ti := lo; ti < hi; ti++ {
-			tupleLoad.SetInt64(0)
-			for _, id := range ne.Tuples[ti] {
-				for _, v := range [2]int32{ne.EdgeU[id], ne.EdgeV[id]} {
-					if inIS.Has(v) {
-						// Distinct edges touch distinct IS vertices (the
-						// bijection), so no double counting inside a tuple.
-						tupleLoad.Add(&tupleLoad, &perVertex)
-					}
-				}
-			}
-			if tupleLoad.Cmp(&want) != 0 {
-				faults[w] = par.Fault{At: ti, Err: fmt.Errorf("%w: tuple %d has load %v < max %v", ErrNotEquilibrium, ti, tupleLoad.Big(), want.Big())}
-				return
-			}
-		}
-	})
-	if err := par.FirstFault(faults); err != nil {
-		return err
-	}
-
-	// Condition 3(b): count the hit IS vertices with per-worker integer
-	// partials, then compare count·(ν/|IS|) — the same exact rational the
-	// serial body accumulates term by term — against ν.
-	counts := make([]int64, workers)
-	par.For(workers, len(is), func(w, lo, hi int) {
-		var cnt int64
-		for i := lo; i < hi; i++ {
-			if hitCount[is[i]] > 0 {
-				cnt++
-			}
-		}
-		counts[w] = cnt
-	})
-	var hit int64
-	for _, cnt := range counts {
-		hit += cnt
-	}
-	var mass, nu rat.Rat
-	nu.SetInt64(int64(ne.Attackers))
-	mass.SetFrac64(hit*int64(ne.Attackers), int64(len(is)))
-	if mass.Cmp(&nu) != 0 {
-		return fmt.Errorf("%w: attacker mass on V(D(tp)) is %v, want ν=%v", ErrNotEquilibrium, mass.Big(), nu.Big())
-	}
+	obsCSRVerifications.Inc()
 	return nil
 }
 

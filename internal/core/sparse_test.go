@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/defender-game/defender/internal/cover"
@@ -107,6 +108,13 @@ func TestVerifyKMatchingCSRMutations(t *testing.T) {
 			ne.EdgeU = ne.EdgeU[1:]
 			ne.EdgeV = ne.EdgeV[1:]
 		},
+		"short-tuple": func(ne *SparseEquilibrium) {
+			last := len(ne.Tuples) - 1
+			ne.Tuples[last] = ne.Tuples[last][:ne.K-1]
+		},
+		"edge-out-of-support": func(ne *SparseEquilibrium) {
+			ne.Tuples[0][0] = int32(len(ne.EdgeU))
+		},
 	}
 	if err := VerifyKMatchingCSR(base()); err != nil {
 		t.Fatalf("unmutated equilibrium rejected: %v", err)
@@ -118,6 +126,67 @@ func TestVerifyKMatchingCSRMutations(t *testing.T) {
 			t.Errorf("%s: verifier accepted the mutant", name)
 		} else if !errors.Is(err, ErrNotEquilibrium) {
 			t.Errorf("%s: error %v does not wrap ErrNotEquilibrium", name, err)
+		}
+	}
+}
+
+// TestVerifyKMatchingCSRParallelMatchesSerial holds the verifier to its
+// first-fault contract on an instance far above toy size: it accepts a
+// valid 40,000-vertex equilibrium, and every corrupted variant is rejected
+// with exactly the error of the first violation in scan order, the same
+// error on every repeated audit. The verifier once had a parallel body
+// that had to reproduce the serial body's first error; with one body left,
+// the contract is checked against the expected error directly.
+func TestVerifyKMatchingCSRParallelMatchesSerial(t *testing.T) {
+	c := graph.NewSeededGenerator(47).BarabasiAlbertBipartiteCSR(40_000, 3)
+	base := func() *SparseEquilibrium {
+		ne, err := SolveKMatchingCSR(c, 10, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ne
+	}
+	if err := VerifyKMatchingCSR(base()); err != nil {
+		t.Fatalf("verifier rejects a valid equilibrium: %v", err)
+	}
+
+	mutations := map[string]func(*SparseEquilibrium) error{
+		"support-not-sorted": func(ne *SparseEquilibrium) error {
+			ne.VPSupport[0], ne.VPSupport[1] = ne.VPSupport[1], ne.VPSupport[0]
+			return fmt.Errorf("%w: attacker support not ascending/in-range at %d", ErrNotEquilibrium, ne.VPSupport[1])
+		},
+		"fake-edge": func(ne *SparseEquilibrium) error {
+			ne.EdgeU[0], ne.EdgeV[0] = ne.VPSupport[0], ne.VPSupport[1]
+			return fmt.Errorf("%w: support edge 0=(%d,%d) is not an edge of G", ErrNotEquilibrium, ne.EdgeU[0], ne.EdgeV[0])
+		},
+		"repeat-edge-in-tuple": func(ne *SparseEquilibrium) error {
+			ne.Tuples[0] = []int32{ne.Tuples[0][0], ne.Tuples[0][0], ne.Tuples[0][1], ne.Tuples[0][2]}
+			return fmt.Errorf("%w: tuple 0 repeats edge %d", ErrNotEquilibrium, ne.Tuples[0][0])
+		},
+		"short-tuple": func(ne *SparseEquilibrium) error {
+			last := len(ne.Tuples) - 1
+			ne.Tuples[last] = ne.Tuples[last][:2]
+			return fmt.Errorf("%w: tuple %d has 2 edges, want k=%d", ErrNotEquilibrium, last, ne.K)
+		},
+		"edge-out-of-support": func(ne *SparseEquilibrium) error {
+			ne.Tuples[0][0] = int32(len(ne.EdgeU))
+			return fmt.Errorf("%w: tuple 0 lists edge %d outside support", ErrNotEquilibrium, len(ne.EdgeU))
+		},
+	}
+	for name, mutate := range mutations {
+		ne := base()
+		want := mutate(ne)
+		for audit := 0; audit < 2; audit++ {
+			err := VerifyKMatchingCSR(ne)
+			if err == nil {
+				t.Fatalf("%s: verifier accepted the mutant", name)
+			}
+			if !errors.Is(err, ErrNotEquilibrium) {
+				t.Errorf("%s: error %v does not wrap ErrNotEquilibrium", name, err)
+			}
+			if err.Error() != want.Error() {
+				t.Errorf("%s audit %d: error %q, want first fault %q", name, audit, err, want)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -53,45 +54,66 @@ func FuzzParseGraph6(f *testing.F) {
 	})
 }
 
-// FuzzBuildCSR differentially fuzzes the multicore CSR bulk load against
-// the serial reference: for any edge list — valid or not — the parallel
-// body invoked at several worker counts must reproduce the serial
-// BuildCSR outcome exactly, same RowPtr/Col arrays on acceptance and the
-// same error (message included) on rejection. Endpoints are raw bytes
-// against a small n, so out-of-range, self-loop and duplicate faults all
-// occur naturally.
+// FuzzBuildCSR differentially fuzzes the CSR bulk load against the dense
+// builder: the same edge list is replayed through New + AddEdge +
+// FromGraph. BuildCSR must accept exactly when every AddEdge does, reject
+// with the same sentinel otherwise, and on acceptance produce the dense
+// route's RowPtr/Col arrays and a CSR that passes Validate. BuildCSR scans
+// for range and self-loop faults before it sorts rows for duplicates, so
+// the expected sentinel is the first range or self-loop fault in edge
+// order, else the first duplicate. Endpoints are raw bytes against a
+// small n, so all three faults occur naturally.
 func FuzzBuildCSR(f *testing.F) {
 	f.Add(6, []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5})
-	f.Add(4, []byte{0, 1, 1, 0})  // duplicate, reversed orientation
-	f.Add(3, []byte{1, 1})        // self-loop
-	f.Add(2, []byte{0, 7})        // out of range
+	f.Add(4, []byte{0, 1, 1, 0})       // duplicate, reversed orientation
+	f.Add(3, []byte{1, 1})             // self-loop
+	f.Add(2, []byte{0, 7})             // out of range
 	f.Add(5, []byte{0, 9, 2, 2, 1, 3}) // range fault before self-loop
+	f.Add(4, []byte{0, 1, 1, 0, 3, 3}) // duplicate before self-loop
 	f.Add(0, []byte{})
 	f.Fuzz(func(t *testing.T, n int, data []byte) {
 		n = int(uint(n) % 64)
 		m := len(data) / 2
 		us := make([]int32, m)
 		vs := make([]int32, m)
+		dense := New(n)
+		var endpointErr, dupErr error
 		for i := 0; i < m; i++ {
 			us[i] = int32(data[2*i])
 			vs[i] = int32(data[2*i+1])
-		}
-		want, wantErr := BuildCSR(n, us, vs)
-		for _, workers := range []int{2, 3, 5} {
-			got := &CSR{RowPtr: make([]int32, n+1), Col: make([]int32, 2*m)}
-			err := buildCSRParallel(got, n, us, vs, workers)
+			err := dense.AddEdge(int(us[i]), int(vs[i]))
 			switch {
-			case (err == nil) != (wantErr == nil):
-				t.Fatalf("workers=%d: err = %v, serial err = %v", workers, err, wantErr)
-			case err != nil:
-				if err.Error() != wantErr.Error() {
-					t.Fatalf("workers=%d: err %q, serial err %q", workers, err, wantErr)
+			case err == nil:
+			case errors.Is(err, ErrDuplicateEdge):
+				if dupErr == nil {
+					dupErr = err
 				}
-			default:
-				if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) {
-					t.Fatalf("workers=%d: parallel CSR differs from serial", workers)
+			case endpointErr == nil:
+				endpointErr = err
+			}
+		}
+		wantErr := endpointErr
+		if wantErr == nil {
+			wantErr = dupErr
+		}
+		got, err := BuildCSR(n, us, vs)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("BuildCSR err = %v, dense builder err = %v", err, wantErr)
+		}
+		if err != nil {
+			for _, sentinel := range []error{ErrVertexRange, ErrSelfLoop, ErrDuplicateEdge} {
+				if errors.Is(err, sentinel) != errors.Is(wantErr, sentinel) {
+					t.Fatalf("BuildCSR err %q, dense builder err %q", err, wantErr)
 				}
 			}
+			return
+		}
+		want := FromGraph(dense)
+		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) {
+			t.Fatalf("BuildCSR differs from FromGraph: RowPtr %v vs %v, Col %v vs %v", got.RowPtr, want.RowPtr, got.Col, want.Col)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("BuildCSR result fails Validate: %v", err)
 		}
 	})
 }

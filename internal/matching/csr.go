@@ -14,20 +14,12 @@ import (
 // bound stays empirically checkable at 10^6 vertices.
 var obsCSRHKPhases = obs.Default().Counter("matching.csr.hopcroftkarp.phases")
 
-// hkParallelGrain is the vertex count below which the CSR matching paths
-// stay serial — same reasoning as the graph package's grain guard: the
-// parallel and serial routes are bit-identical, fan-out just does not pay
-// for small instances.
-const hkParallelGrain = 1 << 15
-
 // HopcroftKarpCSR computes a maximum matching of a bipartite CSR graph in
 // O(m sqrt n) time. The 2-coloring is supplied as side[v] in {0, 1}; use
 // (*graph.CSR).Bipartition to obtain one. It returns the mate array
 // (mate[v] = partner of v, or Unmatched), validating first that side is a
-// proper 2-coloring so callers cannot silently run it on an odd cycle.
-// The validation scan runs on the par worker budget with rejections
-// reduced to the smallest vertex index — the error the serial scan
-// reports first.
+// proper 2-coloring so callers cannot silently run it on an odd cycle;
+// the error cites the smallest offending vertex.
 //
 // This is the scale path: a greedy warm start, BFS layering with bitset
 // frontiers reset in O(n/64) words per phase, and an iterative DFS with a
@@ -39,24 +31,15 @@ func HopcroftKarpCSR(c *graph.CSR, side []int8) ([]int32, error) {
 	if len(side) != n {
 		return nil, fmt.Errorf("matching: side array length %d, want %d", len(side), n)
 	}
-	workers := par.Split(par.Workers(0), n, hkParallelGrain)
-	faults := make([]par.Fault, workers)
-	par.For(workers, n, func(w, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if side[v] != 0 && side[v] != 1 {
-				faults[w] = par.Fault{At: v, Err: fmt.Errorf("matching: side[%d]=%d, want 0 or 1", v, side[v])}
-				return
-			}
-			for _, u := range c.Neighbors(v) {
-				if side[u] == side[v] {
-					faults[w] = par.Fault{At: v, Err: fmt.Errorf("%w: edge (%d,%d) has both endpoints on side %d", graph.ErrNotBipartite, v, u, side[v])}
-					return
-				}
+	for v := 0; v < n; v++ {
+		if side[v] != 0 && side[v] != 1 {
+			return nil, fmt.Errorf("matching: side[%d]=%d, want 0 or 1", v, side[v])
+		}
+		for _, u := range c.Neighbors(v) {
+			if side[u] == side[v] {
+				return nil, fmt.Errorf("%w: edge (%d,%d) has both endpoints on side %d", graph.ErrNotBipartite, v, u, side[v])
 			}
 		}
-	})
-	if err := par.FirstFault(faults); err != nil {
-		return nil, err
 	}
 	return hopcroftKarpCSR(c, side), nil
 }
@@ -75,16 +58,8 @@ func HopcroftKarpCSRSubgraph(c *graph.CSR, side []int8) []int32 {
 
 // hopcroftKarpCSR is the engine behind both entry points: left = side 0,
 // right = side 1, every other vertex and every non-cross edge ignored.
-//
-// The phase BFS is the multicore leg: above hkParallelGrain vertices it
-// expands each layer level-synchronously on the par worker budget, with
-// atomic bitset claims deciding vertex ownership and per-worker next
-// frontiers merged in worker order. A left vertex's layer is its
-// alternating-path distance from the free set — the same quantity the
-// serial FIFO computes — so the layered graph, the augmenting DFS that
-// walks it (always serial: its shared arc cursors are order-dependent by
-// design), and hence the returned matching are bit-identical at every
-// thread count.
+// Each phase layers the left vertices by FIFO BFS, then augments along
+// the layers by iterative DFS.
 func hopcroftKarpCSR(c *graph.CSR, side []int8) []int32 {
 	n := c.NumVertices()
 	mate := make([]int32, n)
@@ -100,9 +75,7 @@ func hopcroftKarpCSR(c *graph.CSR, side []int8) []int32 {
 	}
 
 	// Greedy warm start: pairs off the easy vertices so the first phases
-	// have fewer augmenting paths to find. Serial on purpose — each pick
-	// depends on every earlier one, and the matching must not depend on
-	// the thread budget.
+	// have fewer augmenting paths to find.
 	for _, v := range left {
 		for _, u := range c.Neighbors(int(v)) {
 			if side[u] == 1 && mate[u] == Unmatched {
@@ -126,77 +99,35 @@ func hopcroftKarpCSR(c *graph.CSR, side []int8) []int32 {
 	}()
 	visited := graph.GetBitset(n)
 	defer graph.PutBitset(visited)
-	workers := par.Split(par.Workers(0), n, hkParallelGrain)
-	nexts := make([][]int32, workers)
-	founds := make([]bool, workers)
 
 	// bfs layers left vertices by alternating-path distance from the free
 	// ones; dist is only meaningful where visited is set, so the per-phase
 	// reset is the bitset's O(n/64) word clear, not an O(n) fill.
 	bfs := func() bool {
 		visited.Reset()
-		frontLen := 0
+		queue := frontier[:0]
 		for _, v := range left {
 			if mate[v] == Unmatched {
 				dist[v] = 0
 				visited.Set(v)
-				frontier[frontLen] = v
-				frontLen++
+				queue = append(queue, v)
 			}
 		}
 		found := false
-		if workers == 1 {
-			queue := frontier[:frontLen]
-			for head := 0; head < len(queue); head++ {
-				v := queue[head]
-				for _, u := range c.Neighbors(int(v)) {
-					if side[u] != 1 {
-						continue
-					}
-					w := mate[u]
-					if w == Unmatched {
-						found = true
-					} else if !visited.Has(w) {
-						visited.Set(w)
-						dist[w] = dist[v] + 1
-						queue = append(queue, w)
-					}
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for _, u := range c.Neighbors(int(v)) {
+				if side[u] != 1 {
+					continue
 				}
-			}
-			return found
-		}
-		for frontLen > 0 {
-			fw := par.Split(workers, frontLen, 512)
-			for w := 0; w < fw; w++ {
-				nexts[w] = nexts[w][:0]
-				founds[w] = false
-			}
-			par.For(fw, frontLen, func(w, lo, hi int) {
-				next := nexts[w]
-				hit := false
-				for fi := lo; fi < hi; fi++ {
-					v := frontier[fi]
-					dv := dist[v]
-					for _, u := range c.Neighbors(int(v)) {
-						if side[u] != 1 {
-							continue
-						}
-						m := mate[u]
-						if m == Unmatched {
-							hit = true
-						} else if visited.TrySetAtomic(m) {
-							dist[m] = dv + 1
-							next = append(next, m)
-						}
-					}
+				w := mate[u]
+				if w == Unmatched {
+					found = true
+				} else if !visited.Has(w) {
+					visited.Set(w)
+					dist[w] = dist[v] + 1
+					queue = append(queue, w)
 				}
-				nexts[w] = next
-				founds[w] = hit
-			})
-			frontLen = 0
-			for w := 0; w < fw; w++ {
-				found = found || founds[w]
-				frontLen += copy(frontier[frontLen:], nexts[w])
 			}
 		}
 		return found
